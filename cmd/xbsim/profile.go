@@ -170,14 +170,16 @@ func writeCostProfile(w io.Writer, snap obs.AttribSnapshot, ms obs.Snapshot,
 	}
 
 	// Coverage: the attributed walk wall time against the evaluate
-	// stage's own resource accounting. The walks are the stage's hot
-	// loops, so the two should agree closely; a gap means unattributed
-	// work inside the stage.
-	if h, ok := ms.Histograms["stage.evaluate.duration_us"]; ok && h.Sum > 0 {
-		stageNS := h.Sum * 1000
-		fmt.Fprintf(w, "  coverage: %.1fms attributed of %.1fms evaluate-stage wall (%.1f%%)\n",
-			float64(attributed)/1e6, float64(stageNS)/1e6,
-			float64(attributed)/float64(stageNS)*100)
+	// stage's busy time, the summed wall time of its per-binary
+	// evaluations (they run in parallel, so the stage's elapsed time
+	// would undercount). The walks are the stage's hot loops, so the
+	// two should agree closely; a gap means unattributed work inside
+	// the stage.
+	if h, ok := ms.Histograms["stage.evaluate.busy_us"]; ok && h.Sum > 0 {
+		busyNS := h.Sum * 1000
+		fmt.Fprintf(w, "  coverage: %.1fms attributed of %.1fms evaluate-stage busy time (%.1f%%)\n",
+			float64(attributed)/1e6, float64(busyNS)/1e6,
+			float64(attributed)/float64(busyNS)*100)
 	}
 
 	r := snap.Redundancy

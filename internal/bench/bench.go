@@ -123,6 +123,10 @@ type ServeRecord struct {
 	// CacheHits counts submissions answered from the content-addressed
 	// result cache without running the pipeline.
 	CacheHits int `json:"cache_hits"`
+	// Coalesced counts duplicates that joined an in-flight job (202
+	// under another submission's trace) instead of starting their own.
+	// The rest of Completed are fresh jobs.
+	Coalesced int `json:"coalesced"`
 	// WallUS is the whole load test's wall time in microseconds.
 	WallUS uint64 `json:"wall_us"`
 	// ThroughputJobsPerSec is Completed / wall seconds.
@@ -140,10 +144,10 @@ type ServeRecord struct {
 func (s *ServeRecord) Write(w io.Writer) error {
 	_, err := fmt.Fprintf(w,
 		"serve loadtest: %d jobs (%d unique + %d duplicate) over %d client(s) in %.1fms\n"+
-			"  completed %d, failed %d, rejected %d, cache hits %d (%.0f%% of duplicates)\n"+
+			"  completed %d, failed %d, rejected %d, cache hits %d (%.0f%% of duplicates), coalesced %d\n"+
 			"  throughput %.1f jobs/s, latency p50 %.1fms p99 %.1fms, cache-hit p50 %.2fms\n",
 		s.Jobs, s.Unique, s.Duplicates, s.Clients, float64(s.WallUS)/1000,
-		s.Completed, s.Failed, s.Rejected, s.CacheHits, s.cacheHitRate()*100,
+		s.Completed, s.Failed, s.Rejected, s.CacheHits, s.cacheHitRate()*100, s.Coalesced,
 		s.ThroughputJobsPerSec, float64(s.P50US)/1000, float64(s.P99US)/1000,
 		float64(s.CacheHitP50US)/1000)
 	return err

@@ -109,18 +109,21 @@ func TestPipelineAttribution(t *testing.T) {
 	}
 
 	// Wall coverage: the attributed walk time must explain the bulk of
-	// the evaluate stage. The CLI reports the exact figure; here the
-	// bound is loose (80%) so scheduler noise cannot flake CI.
-	stage := o.Metrics.Snapshot().Histograms["stage.evaluate.duration_us"]
-	if stage.Sum == 0 {
-		t.Fatal("stage.evaluate.duration_us not recorded")
+	// the evaluate stage's busy time — the summed wall time of its
+	// per-binary evaluations, which run in parallel on more than one
+	// CPU, so the stage's elapsed time is the wrong yardstick. The CLI
+	// reports the exact figure; here the bound is loose (80%) so
+	// scheduler noise cannot flake CI.
+	busy := o.Metrics.Snapshot().Histograms["stage.evaluate.busy_us"]
+	if busy.Sum == 0 {
+		t.Fatal("stage.evaluate.busy_us not recorded")
 	}
 	attributed := snap.TotalWallNS() / 1000
-	if attributed > stage.Sum {
-		t.Errorf("attributed %dus exceeds evaluate stage %dus", attributed, stage.Sum)
+	if attributed > busy.Sum {
+		t.Errorf("attributed %dus exceeds evaluate busy time %dus", attributed, busy.Sum)
 	}
-	if float64(attributed) < 0.8*float64(stage.Sum) {
-		t.Errorf("attributed %dus is under 80%% of evaluate stage %dus", attributed, stage.Sum)
+	if float64(attributed) < 0.8*float64(busy.Sum) {
+		t.Errorf("attributed %dus is under 80%% of evaluate busy time %dus", attributed, busy.Sum)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"xbsim/internal/cmpsim"
 	"xbsim/internal/compiler"
@@ -325,15 +326,23 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 
 	// Walks 3-5 per binary: full + gated simulation and the method
 	// statistics. Each binary owns its simulators and its Runs[bi] slot.
+	// The binaries evaluate in parallel, so the stage's elapsed time
+	// (stage.evaluate.duration_us) undercounts the work done in it;
+	// stage.evaluate.busy_us sums each evaluateBinary call's wall time,
+	// once per attempt, and is what the per-walk attribution adds up to.
 	var res *BenchmarkResult
 	err = runStage(ctx, cfg, name, "evaluate", func(sctx context.Context) error {
 		res = &BenchmarkResult{Name: name, Mapping: mapped, Primary: primary,
 			Runs: make([]*BinaryRun, len(bins))}
+		var busyNS atomic.Int64
+		defer func() { o.Histogram("stage.evaluate.busy_us").Observe(uint64(busyNS.Load() / 1000)) }()
 		return cfg.workerPool.Run(len(bins), func(bi int) error {
 			if err := faults.Hit(sctx, "evaluate.task"); err != nil {
 				return err
 			}
+			start := time.Now()
 			run, err := evaluateBinary(sctx, cfg, bins, bi, profiles[bi], fliRes[bi], fliPicks[bi], vliRes, vliPick, mapped)
+			busyNS.Add(int64(time.Since(start)))
 			if err != nil {
 				return fmt.Errorf("%s: %w", bins[bi].Name, err)
 			}

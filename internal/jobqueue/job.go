@@ -155,11 +155,34 @@ type Job struct {
 	Tenant string `json:"tenant,omitempty"`
 	// CoalescedTraces are the trace IDs of later submissions that
 	// coalesced onto this job (duplicate in flight) or hit its cached
-	// result — each links back to TraceID as the canonical trace.
+	// result — each links back to TraceID as the canonical trace. Links
+	// made after the record was written live in the spool's link log
+	// until the next state transition; Spool.Load merges them back.
 	CoalescedTraces []string `json:"coalescedTraces,omitempty"`
 	// State is the job's current lifecycle state (not serialized; the
 	// spool subdirectory is the authority).
 	State State `json:"-"`
+}
+
+// maxTraceLinks caps CoalescedTraces so a hostile client can't grow a
+// job's record or link log without bound; the event journal still
+// records every submission.
+const maxTraceLinks = 64
+
+// addLink appends trace to CoalescedTraces unless it is empty, the
+// canonical trace, already linked, or over the cap, and reports whether
+// it did.
+func (j *Job) addLink(trace string) bool {
+	if trace == "" || trace == j.TraceID || len(j.CoalescedTraces) >= maxTraceLinks {
+		return false
+	}
+	for _, tr := range j.CoalescedTraces {
+		if tr == trace {
+			return false
+		}
+	}
+	j.CoalescedTraces = append(j.CoalescedTraces, trace)
+	return true
 }
 
 // clone returns a copy — what the queue hands out so callers can't

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -347,6 +348,12 @@ func TestLoadTestSmoke(t *testing.T) {
 	if rec.CacheHits == 0 {
 		t.Fatalf("no cache hits across %d duplicates: %+v", rec.Duplicates, rec)
 	}
+	// Each unique item runs exactly once; every other submission either
+	// coalesced onto that run or hit its cached result.
+	if fresh := rec.Completed - rec.CacheHits - rec.Coalesced; fresh != rec.Unique {
+		t.Fatalf("%d fresh runs (completed %d - hits %d - coalesced %d), want %d unique",
+			fresh, rec.Completed, rec.CacheHits, rec.Coalesced, rec.Unique)
+	}
 	if rec.P50US == 0 || rec.P99US < rec.P50US {
 		t.Errorf("latency quantiles: p50=%d p99=%d", rec.P50US, rec.P99US)
 	}
@@ -354,7 +361,8 @@ func TestLoadTestSmoke(t *testing.T) {
 		t.Errorf("throughput = %f", rec.ThroughputJobsPerSec)
 	}
 	var buf bytes.Buffer
-	if err := rec.Write(&buf); err != nil || !strings.Contains(buf.String(), "cache hits") {
+	if err := rec.Write(&buf); err != nil || !strings.Contains(buf.String(), "cache hits") ||
+		!strings.Contains(buf.String(), fmt.Sprintf("coalesced %d", rec.Coalesced)) {
 		t.Errorf("record rendering: %v %q", err, buf.String())
 	}
 }
