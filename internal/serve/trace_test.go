@@ -148,8 +148,10 @@ func TestLoadTestQuantilesMatchHistogram(t *testing.T) {
 		if diff < 0 {
 			diff = -diff
 		}
-		// The client side adds submit overhead and up to one 50ms poll
-		// interval; one power-of-two bucket absorbs that.
+		// The client side adds submit overhead and at most one poll
+		// interval, which doubles from 1ms (capped at 50ms) and so is
+		// never much longer than the time already waited; one
+		// power-of-two bucket absorbs that.
 		if diff > 1 {
 			t.Errorf("%s: client bucket %d (%.1fms) vs server bucket %d (<=%dms) — disagree by %d",
 				name, clientBucket, float64(clientUS)/1000, serverBucket, h.QuantileBound(q), diff)
