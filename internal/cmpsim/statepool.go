@@ -3,14 +3,16 @@ package cmpsim
 import "sync"
 
 // StatePool recycles cache-hierarchy state across simulations. A
-// hierarchy's dominant allocation is its line arrays (~1.5MB of
-// cacheLine structs for the paper's Table 1 geometry); the evaluate
-// stage builds one hierarchy per walk per binary, so reallocating per
-// evaluation dominated the pipeline's allocation profile. Get returns a
-// recycled hierarchy when one with the same configuration digest is
-// free, and Put resets a hierarchy (contents, counters, and the Random
-// policy's replacement stream — see Cache.Reset) and files it for reuse,
-// making a recycled hierarchy bit-identical in behavior to a fresh one.
+// hierarchy's dominant allocation is its line arrays: 25,088 24-byte
+// cacheLine structs plus the per-set slice headers, about 0.66 MB for
+// the paper's Table 1 geometry (BenchmarkSimulatorFullRun allocates
+// 669,560 B/op). The evaluate stage builds one hierarchy per walk per
+// binary, so reallocating per evaluation dominated the pipeline's
+// allocation profile. Get returns a recycled hierarchy when one with the
+// same configuration digest is free, and Put resets a hierarchy
+// (contents, counters, and the Random policy's replacement stream — see
+// Cache.Reset) and files it for reuse, making a recycled hierarchy
+// bit-identical in behavior to a fresh one.
 //
 // The pool is safe for concurrent use and nil-safe: a nil *StatePool
 // builds fresh state on Get and drops it on Put, so callers thread one

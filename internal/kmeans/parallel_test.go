@@ -35,19 +35,29 @@ func TestParallelRestartsMatchSerial(t *testing.T) {
 // first pick's point and sees the refreshed centroids.
 func TestEmptyClustersReseedDistinctPoints(t *testing.T) {
 	points := [][]float64{{0}, {1}, {10}, {11}}
-	assign := []int{0, 0, 0, 0} // clusters 1 and 2 both empty
-	centroids := [][]float64{{5.5}, {100}, {100}}
-	recomputeCentroids(points, nil, assign, centroids, 1, xrand.New("reseed"))
+	d := getDataset(points, nil)
+	s := &scratch{
+		k:         3,
+		centroids: []float64{5.5, 100, 100}, // clusters 1 and 2 both empty
+		sums:      make([]float64, 3),
+		totals:    make([]float64, 3),
+		move:      make([]float64, 3),
+		assign:    []int{0, 0, 0, 0},
+	}
+	s.recomputeCentroids(d)
 
-	if got := centroids[0][0]; got != 5.5 {
+	if got := s.centroids[0]; got != 5.5 {
 		t.Fatalf("non-empty cluster mean = %v, want 5.5", got)
 	}
-	if sameVec(centroids[1], centroids[2]) {
-		t.Fatalf("both empty clusters re-seeded with the same point %v", centroids[1])
+	if s.centroids[1] == s.centroids[2] {
+		t.Fatalf("both empty clusters re-seeded with the same point %v", s.centroids[1])
 	}
 	for c := 1; c <= 2; c++ {
-		if !containsVec(points, centroids[c]) {
-			t.Fatalf("re-seeded centroid %v is not a dataset point", centroids[c])
+		if !containsVec(points, s.centroid(c, 1)) {
+			t.Fatalf("re-seeded centroid %v is not a dataset point", s.centroid(c, 1))
+		}
+		if want := 100 - s.centroids[c]; s.move[c] != want {
+			t.Fatalf("re-seeded centroid %d moved %v, want %v", c, s.move[c], want)
 		}
 	}
 }
@@ -83,15 +93,16 @@ func TestEmptyClusterReseedEndToEnd(t *testing.T) {
 func TestInitRandomDedupsExactVectors(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	points := [][]float64{{0, 1}, {negZero, 1}, {2, 3}, {2, 3}, {4, 5}}
-	centroids := initRandom(points, 5, xrand.New("dedup"))
-	if len(centroids) != 3 {
+	s := &scratch{centroids: make([]float64, 5*2)}
+	s.initRandom(getDataset(points, nil), 5, xrand.New("dedup"))
+	if s.k != 3 {
 		t.Fatalf("%d distinct centroids, want 3 (0/-0 and duplicate rows must collapse): %v",
-			len(centroids), centroids)
+			s.k, s.centroids[:2*s.k])
 	}
-	for i := 0; i < len(centroids); i++ {
-		for j := i + 1; j < len(centroids); j++ {
-			if sameVec(centroids[i], centroids[j]) {
-				t.Fatalf("duplicate centroids %v", centroids[i])
+	for i := 0; i < s.k; i++ {
+		for j := i + 1; j < s.k; j++ {
+			if sameVec(s.centroid(i, 2), s.centroid(j, 2)) {
+				t.Fatalf("duplicate centroids %v", s.centroid(i, 2))
 			}
 		}
 	}

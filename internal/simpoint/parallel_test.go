@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xbsim/internal/pool"
+	"xbsim/internal/xrand"
 )
 
 // A pooled sweep must choose the identical clustering, points, weights,
@@ -56,5 +57,33 @@ func TestChooseKSkipsNonFiniteScores(t *testing.T) {
 	// Nothing finite at all: fall back to k = 1.
 	if got := chooseK([]float64{nan, negInf, math.Inf(1)}, 0.9); got != 1 {
 		t.Fatalf("chooseK all non-finite = %d, want 1", got)
+	}
+}
+
+// A k-sweep at the fine-interval shape (700 intervals, Dim 15, MaxK 30,
+// 5 restarts, no pool) must allocate a bounded number of times per k:
+// k-means reuses its scratch across Lloyd iterations, restarts and k
+// values and materializes only each k's winning result. Allocating per
+// Lloyd iteration would cost about 33,000 allocations on this input.
+func TestPickSweepAllocsScaleWithMaxK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	ds, _ := phasedDataset(7, 10, 10, 0.05, "alloc-pin")
+	cfg := Config{MaxK: 30, Dim: 15, Restarts: 5, Seed: "alloc-pin"}
+	pick := testing.AllocsPerRun(3, func() {
+		if _, err := Pick(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Projection allocates per interval, not per k; leave it out.
+	project := testing.AllocsPerRun(3, func() {
+		if _, err := ds.Project(cfg.Dim, xrand.New("simpoint/"+cfg.Seed).Split("projection")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sweep, limit := pick-project, float64(40*cfg.MaxK); sweep > limit {
+		t.Fatalf("k-sweep made %.0f allocations (Pick %.0f, projection %.0f), want at most %.0f = 40 per k",
+			sweep, pick, project, limit)
 	}
 }
